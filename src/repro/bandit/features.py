@@ -11,12 +11,20 @@ Follows the paper's findings (§3.2, §6):
 * **actions** are featurized by rule id and rule category;
 * context × action interactions cross the span bits with the acted-on rule
   so the model can learn "flip r helps when s is in the span".
+
+The span block (singletons, pairs and triples: O(s³) features for a span
+of s rules) is a pure function of ``(sorted span, bits, order)``; it is
+computed once per distinct span and memoized as an immutable tuple, so a
+rank over 1+s actions no longer rehashes it per action.  Vectors built
+from the memo are byte-identical to the per-feature form: same keys,
+same insertion order, same values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 from repro.bandit.hashing import feature_index
@@ -35,11 +43,35 @@ class FeatureVector:
         index = feature_index(namespace, name, self.bits)
         self.values[index] = self.values.get(index, 0.0) + value
 
-    def items(self):
-        return self.values.items()
-
     def __len__(self) -> int:
         return len(self.values)
+
+
+#: bound on memoized span blocks (an entry count, not bytes); the default
+#: 60-template mix has 21 distinct spans.  Its largest span has 17 rules, a
+#: block of 17 + 136 + 680 = 833 features (832 slots at 18 bits), ~100 KB
+#: as a tuple of (int, float) pairs, so a full memo of such blocks is ~6 MB.
+#: A block grows with the cube of the span size: a 40-rule span gives
+#: ~10.5k items, ~1.2 MB, and 64 of those ~78 MB.
+SPAN_BLOCK_MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=SPAN_BLOCK_MEMO_SIZE)
+def span_block(
+    span: tuple[int, ...], bits: int, interaction_order: int
+) -> tuple[tuple[int, float], ...]:
+    """The ``(slot, value)`` items of a sorted span's singletons, pairs and
+    triples, in the order they are added to an empty vector."""
+    vector = FeatureVector(bits)
+    for rule_id in span:
+        vector.add("span", f"s{rule_id}")
+    if interaction_order >= 2:
+        for a, b in combinations(span, 2):
+            vector.add("span2", f"s{a}&s{b}")
+    if interaction_order >= 3:
+        for a, b, c in combinations(span, 3):
+            vector.add("span3", f"s{a}&s{b}&s{c}")
+    return tuple(vector.values.items())
 
 
 def _log_bucket(value: float) -> str:
@@ -62,15 +94,12 @@ class ContextFeatures:
     job_name: str = ""
 
     def write_into(self, vector: FeatureVector, interaction_order: int = 3) -> None:
+        """Write the context into an empty vector; it must come first so the
+        memoized span block can be copied in wholesale."""
+        if vector.values:
+            raise ValueError("context features must be written into an empty vector")
         span = tuple(sorted(self.span))
-        for rule_id in span:
-            vector.add("span", f"s{rule_id}")
-        if interaction_order >= 2:
-            for a, b in combinations(span, 2):
-                vector.add("span2", f"s{a}&s{b}")
-        if interaction_order >= 3:
-            for a, b, c in combinations(span, 3):
-                vector.add("span3", f"s{a}&s{b}&s{c}")
+        vector.values.update(span_block(span, vector.bits, interaction_order))
         vector.add("job", f"cost_{_log_bucket(self.estimated_cost)}")
         vector.add("job", f"card_{_log_bucket(self.estimated_cardinality)}")
         vector.add("job", f"rows_{_log_bucket(self.row_count)}")

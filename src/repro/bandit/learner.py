@@ -13,10 +13,51 @@ import numpy as np
 
 from repro.bandit.features import ActionFeatures, ContextFeatures, FeatureVector, joint_features
 
-__all__ = ["CBLearner"]
+__all__ = ["CBLearner", "linear_score", "ips_sgd_step"]
 
 #: probabilities are floored when importance-weighting to bound variance
 _MIN_PROB = 0.01
+
+
+def linear_score(weights: np.ndarray, vector: FeatureVector) -> float:
+    """``Σ w·v`` over the vector, summed left to right in insertion order.
+
+    One gather pulls the weights out as Python floats; the products and
+    the running sum are the same IEEE double operations, in the same
+    order, as indexing the weight table element by element.
+    """
+    values = vector.values
+    total = 0.0
+    for weight, value in zip(weights[list(values)].tolist(), values.values()):
+        total += weight * value
+    return total
+
+
+def ips_sgd_step(
+    weights: np.ndarray,
+    vector: FeatureVector,
+    reward: float,
+    probability: float,
+    learning_rate: float,
+    l2: float,
+) -> float:
+    """One IPS-weighted normalized SGD step in place; returns the
+    pre-update prediction."""
+    prediction = linear_score(weights, vector)
+    importance = 1.0 / max(probability, _MIN_PROB)
+    # normalized update (VW-style): scale by the squared feature norm so
+    # one step moves the prediction by at most ~the full error, keeping
+    # importance-weighted steps from diverging
+    norm_sq = sum(value * value for value in vector.values.values()) or 1.0
+    step = min(learning_rate * min(importance, 5.0), 0.5) / norm_sq
+    error = reward - prediction
+    # slots are distinct dict keys, so the elementwise update is the
+    # per-slot update applied to every slot at once
+    indices = list(vector.values)
+    current = weights[indices]
+    values = np.fromiter(vector.values.values(), dtype=float, count=len(indices))
+    weights[indices] = current + step * (error * values - l2 * current)
+    return prediction
 
 
 class CBLearner:
@@ -39,10 +80,7 @@ class CBLearner:
     # -- scoring -------------------------------------------------------------
 
     def score(self, vector: FeatureVector) -> float:
-        total = 0.0
-        for index, value in vector.items():
-            total += self.weights[index] * value
-        return total
+        return linear_score(self.weights, vector)
 
     def score_action(self, context: ContextFeatures, action: ActionFeatures) -> float:
         return self.score(joint_features(context, action, self.bits, self.interaction_order))
@@ -58,17 +96,9 @@ class CBLearner:
     ) -> float:
         """One IPS-weighted SGD step; returns the pre-update prediction."""
         vector = joint_features(context, action, self.bits, self.interaction_order)
-        prediction = self.score(vector)
-        importance = 1.0 / max(probability, _MIN_PROB)
-        # normalized update (VW-style): scale by the squared feature norm so
-        # one step moves the prediction by at most ~the full error, keeping
-        # importance-weighted steps from diverging
-        norm_sq = sum(value * value for _, value in vector.items()) or 1.0
-        step = min(self.learning_rate * min(importance, 5.0), 0.5) / norm_sq
-        error = reward - prediction
-        for index, value in vector.items():
-            gradient = error * value - self.l2 * self.weights[index]
-            self.weights[index] += step * gradient
+        prediction = ips_sgd_step(
+            self.weights, vector, reward, probability, self.learning_rate, self.l2
+        )
         self.updates += 1
         return prediction
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
+from repro.errors import PersonalizerError
+
 __all__ = [
     "ClusterConfig",
     "EstimatorConfig",
@@ -130,6 +132,16 @@ class BanditConfig:
     #: default reward applied to rank events that expire unrewarded
     expired_event_reward: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.hash_bits <= 30:
+            raise PersonalizerError(f"hash_bits must be in 1..30, got {self.hash_bits}")
+        if self.interaction_order not in (1, 2, 3):
+            raise PersonalizerError(
+                f"interaction_order must be 1, 2 or 3, got {self.interaction_order}"
+            )
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise PersonalizerError(f"epsilon must be in [0, 1], got {self.epsilon}")
+
 
 @dataclass(frozen=True)
 class PolicyConfig:
@@ -153,6 +165,12 @@ class PolicyConfig:
     learning_rate: float = 0.08
     #: per-action sample-buffer bound of the value-model policy's regressors
     max_samples_per_action: int = 4096
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.hash_bits <= 30:
+            raise PersonalizerError(f"hash_bits must be in 1..30, got {self.hash_bits}")
+        if not 0.0 <= self.epsilon <= 1.0:
+            raise PersonalizerError(f"epsilon must be in [0, 1], got {self.epsilon}")
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.bandit.features import ActionFeatures, ContextFeatures, FeatureVector, _log_bucket
+from repro.bandit.learner import ips_sgd_step, linear_score
 from repro.policies.base import LearnedSteeringPolicy
 
 if TYPE_CHECKING:
@@ -39,9 +40,6 @@ if TYPE_CHECKING:
     from repro.scope.optimizer.engine import OptimizationResult
 
 __all__ = ["PlanGuidedPolicy"]
-
-#: probabilities are floored when importance-weighting, as in CBLearner
-_MIN_PROB = 0.01
 
 
 def plan_summary(result: "OptimizationResult") -> dict[str, float]:
@@ -175,14 +173,6 @@ class PlanGuidedPolicy(LearnedSteeringPolicy):
             return cached
         return self._features(context, action, None)
 
-    # -- model ----------------------------------------------------------------
-
-    def _score(self, vector: FeatureVector) -> float:
-        total = 0.0
-        for index, value in vector.items():
-            total += self.weights[index] * value
-        return total
-
     # -- LearnedSteeringPolicy hooks ----------------------------------------------
 
     def _scores(
@@ -199,7 +189,7 @@ class PlanGuidedPolicy(LearnedSteeringPolicy):
                 self.plan_feature_misses += 1
         return np.array(
             [
-                self._score(self._vector_for(context, action, summary))
+                linear_score(self.weights, self._vector_for(context, action, summary))
                 for action in actions
             ]
         )
@@ -232,14 +222,7 @@ class PlanGuidedPolicy(LearnedSteeringPolicy):
         probability: float,
     ) -> None:
         vector = self._vector_for(context, action, None)
-        prediction = self._score(vector)
-        importance = 1.0 / max(probability, _MIN_PROB)
-        norm_sq = sum(value * value for _, value in vector.items()) or 1.0
-        step = min(self.learning_rate * min(importance, 5.0), 0.5) / norm_sq
-        error = reward - prediction
-        for index, value in vector.items():
-            gradient = error * value - self.l2 * self.weights[index]
-            self.weights[index] += step * gradient
+        ips_sgd_step(self.weights, vector, reward, probability, self.learning_rate, self.l2)
         self.updates += 1
 
     def publish_version(self) -> int:

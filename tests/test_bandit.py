@@ -1,10 +1,19 @@
 """Contextual bandit tests: features, policies, learner, off-policy eval."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.bandit.features import ActionFeatures, ContextFeatures, FeatureVector, joint_features
-from repro.bandit.hashing import feature_index
+from repro.bandit.features import (
+    SPAN_BLOCK_MEMO_SIZE,
+    ActionFeatures,
+    ContextFeatures,
+    FeatureVector,
+    joint_features,
+    span_block,
+)
+from repro.bandit.hashing import SLOT_MEMO_SIZE, feature_index
 from repro.bandit.learner import CBLearner
 from repro.bandit.offpolicy import LoggedEvent, dr_estimate, ips_estimate, snips_estimate
 from repro.bandit.policy import EpsilonGreedyPolicy, UniformPolicy
@@ -36,10 +45,64 @@ def test_interaction_order_limits_features():
     assert len(vector3) > len(vector2)
 
 
+def test_context_features_require_an_empty_vector():
+    vector = FeatureVector(bits=18)
+    ActionFeatures(rule_id=None).write_into(vector)
+    with pytest.raises(ValueError, match="empty vector"):
+        _context().write_into(vector)
+
+
 def test_joint_features_cross_span_with_action():
     joint = joint_features(_context(), ActionFeatures(rule_id=2, turn_on=True), bits=18)
     noop = joint_features(_context(), ActionFeatures(rule_id=None), bits=18)
     assert len(joint) > len(noop)
+
+
+def test_memoized_featurization_is_thread_safe_and_bounded():
+    # more distinct spans and slot names than either memo holds, so the
+    # four threads race on misses, hits and evictions at once
+    contexts = [
+        ContextFeatures(
+            span=tuple(sorted(keyed_rng(7, i).choice(40, size=6, replace=False).tolist())),
+            estimated_cost=float(i),
+        )
+        for i in range(SPAN_BLOCK_MEMO_SIZE + 16)
+    ]
+    actions = [ActionFeatures(rule_id=None)] + [
+        ActionFeatures(rule_id=r, turn_on=True) for r in range(0, 40, 7)
+    ]
+    names = [f"n{i}" for i in range(SLOT_MEMO_SIZE + 512)]
+
+    def featurize():
+        vectors = [
+            list(joint_features(context, action, bits=12).values.items())
+            for context in contexts
+            for action in actions
+        ]
+        slots = [feature_index("stress", name, 12) for name in names]
+        return vectors, slots
+
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def worker(slot):
+        start.wait()
+        results[slot] = featurize()
+
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    span_block.cache_clear()
+    feature_index.cache_clear()
+    serial = featurize()
+    assert all(result == serial for result in results)
+    for memo in (span_block, feature_index):
+        info = memo.cache_info()
+        assert info.currsize <= info.maxsize
+    assert span_block.cache_info().currsize == SPAN_BLOCK_MEMO_SIZE
+    assert feature_index.cache_info().currsize == SLOT_MEMO_SIZE
 
 
 def test_uniform_policy_probability():

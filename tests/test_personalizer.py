@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bandit.features import ActionFeatures, ContextFeatures
-from repro.config import BanditConfig
+from repro.config import BanditConfig, PolicyConfig
 from repro.errors import PersonalizerError
 from repro.personalizer.service import PersonalizerService
 
@@ -23,6 +23,32 @@ def test_rank_returns_event_and_probability():
     response = service.rank(_context(), _actions())
     assert response.probability == pytest.approx(1.0 / 3)
     assert service.pending_events == 1
+
+
+@pytest.mark.parametrize("bits", [-1, 0, 31])
+def test_config_rejects_hash_bits_out_of_range(bits):
+    with pytest.raises(PersonalizerError, match="hash_bits"):
+        BanditConfig(hash_bits=bits)
+
+
+@pytest.mark.parametrize("order", [0, 4, 7])
+def test_config_rejects_unknown_interaction_order(order):
+    with pytest.raises(PersonalizerError, match="interaction_order"):
+        BanditConfig(interaction_order=order)
+
+
+@pytest.mark.parametrize("epsilon", [-0.1, 2.0, float("nan")])
+def test_config_rejects_epsilon_outside_unit_interval(epsilon):
+    with pytest.raises(PersonalizerError, match="epsilon"):
+        BanditConfig(epsilon=epsilon)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("hash_bits", -1), ("hash_bits", 31), ("epsilon", 2.0), ("epsilon", -0.1)]
+)
+def test_policy_config_rejects_out_of_range_fields(field, value):
+    with pytest.raises(PersonalizerError, match=field):
+        PolicyConfig(**{field: value})
 
 
 def test_rank_empty_actions_rejected():

@@ -59,6 +59,37 @@ GOLDEN_CORES = [
     (11, 18, 0, 18, 18, 9, 2),
 ]
 
+# Golden day reports of the two competitor policies on the same run,
+# captured before their scoring and SGD step were routed through the
+# bandit learner's shared ``linear_score`` / ``ips_sgd_step``; that
+# refactor (and the featurization memos) must keep them byte-identical.
+COMPETITOR_GOLDENS = {
+    "value_model": (
+        [
+            "4be1bb236f8211f40529d16adcb0edad",
+            "68aec6221cacb6c556c00519b468df3d",
+            "458b446ccd01e8c87acea3364d04a7ee",
+        ],
+        [
+            (19, 86, 0, 0, 86, 9, 1),
+            (3, 12, 0, 86, 12, 9, 0),
+            (2, 9, 0, 12, 9, 9, 0),
+        ],
+    ),
+    "plan_guided": (
+        [
+            "6362ea5598714b74898c5e604c9c4d19",
+            "50b1bd542a60a9a6c02d29ddab250c52",
+            "b1fc46bb0c917d478a4a5db342f3a806",
+        ],
+        [
+            (22, 85, 0, 0, 85, 9, 1),
+            (19, 18, 0, 85, 18, 9, 0),
+            (18, 18, 0, 18, 18, 9, 1),
+        ],
+    ),
+}
+
 
 def _tiny_config(workers=1, shards=1, seed=555, policy=None):
     return dataclasses.replace(
@@ -84,6 +115,14 @@ def test_default_policy_matches_pre_refactor_golden(workers, shards):
     _, reports = _simulate(_tiny_config(workers=workers, shards=shards))
     assert [r.fingerprint() for r in reports] == GOLDEN_FINGERPRINTS
     assert [r.cache_stats.core() for r in reports] == GOLDEN_CORES
+
+
+@pytest.mark.parametrize("name", sorted(COMPETITOR_GOLDENS))
+def test_competitor_policies_match_golden(name):
+    _, reports = _simulate(_tiny_config(policy=PolicyConfig(name=name)))
+    fingerprints, cores = COMPETITOR_GOLDENS[name]
+    assert [r.fingerprint() for r in reports] == fingerprints
+    assert [r.cache_stats.core() for r in reports] == cores
 
 
 def test_default_policy_is_the_bandit_and_personalizer_survives():
