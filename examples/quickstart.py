@@ -10,6 +10,7 @@ that reached SIS.
 from __future__ import annotations
 
 from repro import QOAdvisor, SimulationConfig
+from repro.bandit.offpolicy import dr_estimate, ips_estimate, snips_estimate
 
 
 def main() -> None:
@@ -22,7 +23,7 @@ def main() -> None:
     advisor.bootstrap(start_day=0, days=10)
     print(f"  validation model fitted on "
           f"{advisor.pipeline.validation_model.training_samples} flights; "
-          f"{len(advisor.personalizer.event_log)} bandit events logged")
+          f"{len(advisor.policy.event_log)} bandit events logged")
 
     print("running 6 pipeline days...")
     reports = advisor.simulate(start_day=10, days=6, learned_after=2)
@@ -41,10 +42,17 @@ def main() -> None:
     for template_id, flip in sorted(hints.items()):
         print(f"  {template_id}: {flip.describe(advisor.registry)}")
 
-    evaluation = advisor.personalizer.counterfactual_evaluate()
+    policy = advisor.policy
+    log = policy.event_log
+    evaluation = {
+        "ips": ips_estimate(log, policy),
+        "snips": snips_estimate(log, policy),
+        "dr": dr_estimate(log, policy, policy.learner.score_action),
+        "logged_mean": sum(event.reward for event in log) / len(log),
+    }
     print("\ncounterfactual evaluation of the learned policy:")
-    for name in ("ips", "snips", "dr", "logged_mean"):
-        print(f"  {name:12s} {evaluation[name]:.3f}")
+    for name, value in evaluation.items():
+        print(f"  {name:12s} {value:.3f}")
 
 
 if __name__ == "__main__":

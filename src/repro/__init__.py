@@ -6,8 +6,8 @@ contextual-bandit rule recommendation, recompilation, flighting,
 regression-guard validation and SIS hint deployment — together with every
 substrate it needs: a SCOPE-like scripting language, a cascades optimizer
 with rule signatures, a distributed runtime simulator with a calibrated
-cloud-variance model, a Flighting Service, and an Azure-Personalizer-like
-contextual decision service.
+cloud-variance model, a Flighting Service, and pluggable steering
+policies led by the paper's Azure-Personalizer-style contextual bandit.
 
 Quickstart::
 

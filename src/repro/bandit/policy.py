@@ -1,38 +1,22 @@
-"""Action-selection policies over a linear scorer."""
+"""Target policies over a linear scorer, for off-policy evaluation.
+
+Each exposes ``action_probability(context, actions, index, scorer)``, the
+hook the estimators of :mod:`repro.bandit.offpolicy` evaluate a candidate
+policy through, so a logged event stream can be scored under policies
+that never acted.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.bandit.features import ActionFeatures, ContextFeatures, joint_features
+from repro.bandit.features import joint_features
 
-__all__ = ["RankedAction", "UniformPolicy", "EpsilonGreedyPolicy"]
-
-
-@dataclass(frozen=True)
-class RankedAction:
-    """A chosen action with the probability it was chosen under the policy."""
-
-    index: int
-    action: ActionFeatures
-    probability: float
-    score: float = 0.0
+__all__ = ["UniformPolicy", "EpsilonGreedyPolicy"]
 
 
 class UniformPolicy:
     """Uniform-at-random logging policy (the paper's off-policy data source)."""
-
-    def choose(
-        self,
-        context: ContextFeatures,
-        actions: list[ActionFeatures],
-        rng: np.random.Generator,
-        scorer=None,
-    ) -> RankedAction:
-        index = int(rng.integers(0, len(actions)))
-        return RankedAction(index, actions[index], probability=1.0 / len(actions))
 
     def action_probability(self, context, actions, index, scorer=None) -> float:
         return 1.0 / len(actions)
@@ -48,36 +32,11 @@ class EpsilonGreedyPolicy:
         self.bits = bits
         self.interaction_order = interaction_order
 
-    def _scores(self, context, actions, scorer) -> np.ndarray:
+    def action_probability(self, context, actions, index, scorer=None) -> float:
         scores = np.empty(len(actions))
-        for index, action in enumerate(actions):
+        for position, action in enumerate(actions):
             vector = joint_features(context, action, self.bits, self.interaction_order)
-            scores[index] = scorer.score(vector)
-        return scores
-
-    def choose(
-        self,
-        context: ContextFeatures,
-        actions: list[ActionFeatures],
-        rng: np.random.Generator,
-        scorer=None,
-    ) -> RankedAction:
-        scores = self._scores(context, actions, scorer)
-        greedy = int(np.argmax(scores))
-        explore = rng.random() < self.epsilon
-        index = int(rng.integers(0, len(actions))) if explore else greedy
-        return RankedAction(
-            index,
-            actions[index],
-            probability=self.action_probability_from_scores(scores, index),
-            score=float(scores[index]),
-        )
-
-    def action_probability_from_scores(self, scores: np.ndarray, index: int) -> float:
+            scores[position] = scorer.score(vector)
         greedy = int(np.argmax(scores))
         base = self.epsilon / len(scores)
         return base + (1.0 - self.epsilon) * (1.0 if index == greedy else 0.0)
-
-    def action_probability(self, context, actions, index, scorer=None) -> float:
-        scores = self._scores(context, actions, scorer)
-        return self.action_probability_from_scores(scores, index)

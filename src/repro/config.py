@@ -10,7 +10,7 @@ learnable rule-flip signal.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.errors import PersonalizerError
 
@@ -125,7 +125,7 @@ class BanditConfig:
     interaction_order: int = 3
     #: reward clipping ratio (paper §4.2: clip anything over 2.0)
     reward_clip: float = 2.0
-    #: Personalizer publish cycles (daily in the pipeline) an unrewarded
+    #: policy publish cycles (daily in the pipeline) an unrewarded
     #: rank event survives before it expires with ``expired_event_reward``;
     #: 0 disables expiry entirely
     activation_timeout_days: int = 2
@@ -147,8 +147,7 @@ class BanditConfig:
 class PolicyConfig:
     """Selects and configures the active steering policy (``repro.policies``).
 
-    The default (``"bandit"``) runs the paper's CB/Personalizer stack,
-    byte-identical to the pre-seam pipeline.  ``"value_model"`` is the
+    The default (``"bandit"``) runs the paper's contextual bandit.  ``"value_model"`` is the
     Bao-style per-hint-set reward regressor; ``"plan_guided"`` the
     Neo-style plan-structure scorer.  The bandit policy takes its learner
     parameters from :class:`BanditConfig`; the fields here configure the
@@ -372,7 +371,3 @@ class SimulationConfig:
     sharding: ShardingConfig = field(default_factory=ShardingConfig)
     serving: ServingConfig = field(default_factory=ServingConfig)
     obs: ObsConfig = field(default_factory=ObsConfig)
-
-    def with_seed(self, seed: int) -> "SimulationConfig":
-        """Return a copy of this config with a different experiment seed."""
-        return replace(self, seed=seed)

@@ -56,7 +56,7 @@ class RecompileOutcome:
 
 
 class RecompilationTask:
-    """Recompiles recommendations and reports rewards to the Personalizer."""
+    """Recompiles recommendations and reports rewards to the steering policy."""
 
     def __init__(
         self,
@@ -82,7 +82,7 @@ class RecompilationTask:
         recommendation: Recommendation,
         default: OptimizationResult | ScopeError | None = None,
     ) -> RecompileOutcome:
-        """Classify one flip; does not touch the Personalizer.
+        """Classify one flip; does not touch the steering policy.
 
         ``default`` is the prefetched default-configuration compilation of
         the job (an :class:`OptimizationResult`, or the :class:`ScopeError`

@@ -57,12 +57,9 @@ class CatalogError(ScopeError):
     """Raised on unknown tables/columns or inconsistent statistics."""
 
 
-class FlightingError(ReproError):
-    """Raised by the Flighting Service for invalid requests."""
-
-
 class PersonalizerError(ReproError):
-    """Raised by the Personalizer service (bad event ids, closed service)."""
+    """Raised by steering policies (bad event ids, modes or versions) and
+    by bandit/policy configs with out-of-range fields."""
 
 
 class SISError(ReproError):
@@ -71,7 +68,3 @@ class SISError(ReproError):
 
 class ValidationError(ReproError):
     """Raised by the Validation task when a model is used before training."""
-
-
-class WorkloadError(ReproError):
-    """Raised by the workload generator on invalid parameters."""

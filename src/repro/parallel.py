@@ -230,7 +230,7 @@ class ProcessExecutor(Executor):
     so closures over engines work), evaluate round-robin slices, and ship
     the **results** back through pipes — results must therefore be
     picklable.  Because the children are forked copies, mutations ``fn``
-    makes to shared state (plan caches, stats counters, the Personalizer)
+    makes to shared state (plan caches, stats counters, the steering policy)
     die with the child: this backend is for *pure* per-item functions.  The
     daily pipeline's stages share one plan cache across jobs, so they run
     on the thread backend; the process backend serves state-free fan-outs

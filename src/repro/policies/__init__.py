@@ -4,8 +4,8 @@ The recommendation layer talks to :class:`SteeringPolicy` and nothing
 else; :func:`build_policy` turns a :class:`~repro.config.PolicyConfig`
 into a live policy.  Three implementations ship:
 
-* ``"bandit"`` — :class:`BanditSteeringPolicy`, the paper's
-  CB/Personalizer stack (the byte-identical default);
+* ``"bandit"`` — :class:`BanditSteeringPolicy`, the paper's contextual
+  bandit (the default);
 * ``"value_model"`` — :class:`ValueModelPolicy`, Bao-style per-hint-set
   reward regressors;
 * ``"plan_guided"`` — :class:`PlanGuidedPolicy`, Neo-style scoring of
@@ -17,9 +17,13 @@ from __future__ import annotations
 
 from repro.config import SimulationConfig
 from repro.errors import ValidationError
-from repro.personalizer.service import PersonalizerService
 from repro.policies.bandit import BanditSteeringPolicy
-from repro.policies.base import LearnedSteeringPolicy, PolicyVersion, SteeringPolicy
+from repro.policies.base import (
+    LearnedSteeringPolicy,
+    PolicyVersion,
+    RankResponse,
+    SteeringPolicy,
+)
 from repro.policies.plan_guided import PlanGuidedPolicy
 from repro.policies.value_model import ValueModelPolicy
 
@@ -27,6 +31,7 @@ __all__ = [
     "SteeringPolicy",
     "LearnedSteeringPolicy",
     "PolicyVersion",
+    "RankResponse",
     "BanditSteeringPolicy",
     "ValueModelPolicy",
     "PlanGuidedPolicy",
@@ -42,18 +47,12 @@ def build_policy(config: SimulationConfig, engine=None) -> SteeringPolicy:
 
     ``engine`` is the :class:`~repro.scope.engine.ScopeEngine` or sharded
     cluster whose plan cache the plan-guided policy peeks; policies that
-    don't consult plans ignore it.  The bandit policy owns a fresh
-    :class:`PersonalizerService` built from ``config.bandit`` — callers
-    needing the raw service (legacy API surface) reach it via
-    ``policy.service``.
+    don't consult plans ignore it.  The bandit policy takes its learner
+    and expiry parameters from ``config.bandit``.
     """
     name = config.policy.name
     if name == "bandit":
-        return BanditSteeringPolicy(
-            PersonalizerService(
-                config.bandit, seed=config.seed, mode="uniform_logging"
-            )
-        )
+        return BanditSteeringPolicy(config.bandit, seed=config.seed)
     if name == "value_model":
         return ValueModelPolicy(
             epsilon=config.policy.epsilon,

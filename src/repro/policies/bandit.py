@@ -1,22 +1,24 @@
-"""The paper's contextual bandit, behind the policy seam.
+"""The paper's contextual bandit as a steering policy (§3.1, §4.2, §6).
 
-A transparent adapter over :class:`~repro.personalizer.service.PersonalizerService`
-— the byte-identity default.  Every call delegates 1:1 (same RNG stream,
-same event ids, same learner updates), so a pipeline wired through
-``BanditSteeringPolicy(PersonalizerService(...))`` produces day reports
-byte-identical to the pre-seam pipeline that held the service directly.
-The parity lock in ``tests/test_policies.py`` pins this against golden
-fingerprints captured before the refactor.
+A :class:`~repro.bandit.learner.CBLearner` — hashed linear regression over
+the span's interaction features, IPS-weighted — behind the
+:class:`~repro.policies.base.LearnedSteeringPolicy` lifecycle: uniform
+logging during warm-up, epsilon-greedy over the learner's scores once
+learned, one published snapshot per day with rollback, and expiry of rank
+events whose reward never arrives (the Azure Personalizer activation
+timeout, configured by :class:`~repro.config.BanditConfig`).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.bandit.features import ActionFeatures, ContextFeatures
-from repro.bandit.offpolicy import LoggedEvent
-from repro.personalizer.service import PersonalizerService, RankResponse
-from repro.policies.base import SteeringPolicy
+from repro.bandit.learner import CBLearner
+from repro.config import BanditConfig
+from repro.policies.base import LearnedSteeringPolicy
 
 if TYPE_CHECKING:
     from repro.scope.jobs import JobInstance
@@ -24,66 +26,57 @@ if TYPE_CHECKING:
 __all__ = ["BanditSteeringPolicy"]
 
 
-class BanditSteeringPolicy(SteeringPolicy):
-    """The CB/Personalizer stack as a :class:`SteeringPolicy`."""
+class BanditSteeringPolicy(LearnedSteeringPolicy):
+    """The CB learner as a :class:`LearnedSteeringPolicy`."""
 
     name = "bandit"
+    # day-report fingerprints are built from this exploration stream and
+    # these event ids, so both keep the paper's Personalizer naming
+    rng_key = ("personalizer",)
+    event_prefix = "evt"
 
-    def __init__(self, service: PersonalizerService) -> None:
-        self.service = service
-
-    def rank(
+    def __init__(
         self,
-        context: ContextFeatures,
-        actions: list[ActionFeatures],
-        job: "JobInstance | None" = None,
-    ) -> RankResponse:
-        # context-only policy: the job is part of the seam, not of the CB
-        return self.service.rank(context, actions)
-
-    def observe(self, event_id: str, reward: float) -> None:
-        self.service.reward(event_id, reward)
-
-    def action_probability(
-        self,
-        context: ContextFeatures,
-        actions: list[ActionFeatures],
-        index: int,
-        scorer=None,
-    ) -> float:
-        """The learned epsilon-greedy distribution over the CB scores.
-
-        Uses the greedy policy with the live learner whatever the current
-        logging mode — the same convention as
-        :meth:`PersonalizerService.counterfactual_evaluate`.
-        """
-        if not actions:
-            return 0.0
-        return self.service.greedy_policy.action_probability(
-            context, actions, index, scorer or self.service.learner
+        config: BanditConfig | None = None,
+        seed: int = 0,
+        mode: str = "uniform_logging",
+    ) -> None:
+        self.config = config or BanditConfig()
+        super().__init__(self.config.epsilon, seed, mode)
+        self._activation_timeout = self.config.activation_timeout_days
+        self._expired_reward = self.config.expired_event_reward
+        self.learner = CBLearner(
+            bits=self.config.hash_bits,
+            learning_rate=self.config.learning_rate,
+            l2=self.config.l2,
+            interaction_order=self.config.interaction_order,
         )
 
-    def publish_version(self) -> int:
-        return self.service.publish_version()
+    # layer probes wrap these two through the class's own namespace
+    rank = LearnedSteeringPolicy.rank
+    observe = LearnedSteeringPolicy.observe
 
-    def restore_version(self, version: int) -> None:
-        self.service.restore_version(version)
+    def _scores(
+        self,
+        context: ContextFeatures,
+        actions: list[ActionFeatures],
+        job: "JobInstance | None",
+    ) -> np.ndarray:
+        # context-only policy: the job is part of the seam, not of the CB
+        return np.array([self.learner.score_action(context, action) for action in actions])
 
-    def switch_mode(self, mode: str) -> None:
-        self.service.switch_mode(mode)
+    def _learn(
+        self,
+        context: ContextFeatures,
+        action: ActionFeatures,
+        reward: float,
+        probability: float,
+    ) -> None:
+        self.learner.update(context, action, reward, probability)
 
-    @property
-    def mode(self) -> str:
-        return self.service.mode
+    def _snapshot(self) -> object:
+        return (self.learner.snapshot(), self.learner.updates)
 
-    @property
-    def model_version(self) -> int:
-        return len(self.service.versions)
-
-    @property
-    def event_log(self) -> list[LoggedEvent]:
-        return self.service.event_log
-
-    @property
-    def pending_events(self) -> int:
-        return self.service.pending_events
+    def _restore(self, state: object) -> None:
+        weights, updates = state
+        self.learner.restore(weights, updates=updates)

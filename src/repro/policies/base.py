@@ -11,7 +11,7 @@ estimators) talks to this interface and nothing else.
 The contract:
 
 * :meth:`~SteeringPolicy.rank` — choose one action for a (context,
-  actions) pair, returning a :class:`~repro.personalizer.service.RankResponse`
+  actions) pair, returning a :class:`RankResponse`
   (event id + chosen action + logged propensity).  Policies that score
   *compiled plans* (Neo-style) additionally receive the job, so they can
   consult the plan cache; context-only policies ignore it.
@@ -24,18 +24,20 @@ The contract:
   signature-compatible with the bandit-internal policies there (the
   ``scorer`` argument is accepted and ignored by self-contained policies).
 * :meth:`~SteeringPolicy.publish_version` / :meth:`~SteeringPolicy.restore_version`
-  — daily model snapshots and regression rollback, mirroring the Azure
-  Personalizer lifecycle the pipeline already drives.
+  — daily model snapshots and regression rollback, the Azure Personalizer
+  lifecycle of the paper's deployment.
 * :meth:`~SteeringPolicy.switch_mode` — ``"uniform_logging"`` (explore
   uniformly, maximally informative logs — the off-policy warm-up) vs
   ``"learned"`` (act on the learned scores), the paper's staged rollout.
 
-:class:`LearnedSteeringPolicy` is the shared skeleton for self-contained
-competitors: it owns the pending-event table, the high-fidelity event log
-(:class:`~repro.bandit.offpolicy.LoggedEvent`, so every policy's log feeds
-the same counterfactual machinery), the mode switch, the keyed exploration
-RNG and epsilon-greedy selection; subclasses supply ``_scores`` (score
-every action) plus ``_learn``/``_snapshot``/``_restore``.
+:class:`LearnedSteeringPolicy` is the shared skeleton of every shipped
+policy, the paper's bandit included: it owns the pending-event table, the
+high-fidelity event log (:class:`~repro.bandit.offpolicy.LoggedEvent`, so
+every policy's log feeds the same counterfactual machinery), the mode
+switch, the keyed exploration RNG, epsilon-greedy selection, versioned
+snapshots and the activation-timeout expiry of unrewarded events;
+subclasses supply ``_scores`` (score every action) plus
+``_learn``/``_snapshot``/``_restore``.
 """
 
 from __future__ import annotations
@@ -49,16 +51,26 @@ import numpy as np
 from repro.bandit.features import ActionFeatures, ContextFeatures
 from repro.bandit.offpolicy import LoggedEvent
 from repro.errors import PersonalizerError
-from repro.personalizer.service import RankResponse
 from repro.rng import keyed_rng
 
 if TYPE_CHECKING:
     from repro.scope.jobs import JobInstance
 
-__all__ = ["SteeringPolicy", "LearnedSteeringPolicy", "PolicyVersion"]
+__all__ = ["SteeringPolicy", "LearnedSteeringPolicy", "PolicyVersion", "RankResponse"]
 
 #: the two operating modes every policy understands (paper §4.2)
 MODES = ("uniform_logging", "learned")
+
+
+@dataclass(frozen=True)
+class RankResponse:
+    """Answer to a rank call."""
+
+    event_id: str
+    action: ActionFeatures
+    index: int
+    probability: float
+    model_version: int
 
 
 class SteeringPolicy(abc.ABC):
@@ -144,10 +156,12 @@ class _Pending:
     actions: tuple[ActionFeatures, ...]
     chosen: int
     probability: float
+    #: publish-cycle tick the event was ranked in (activation timeout base)
+    born_tick: int
 
 
 class LearnedSteeringPolicy(SteeringPolicy):
-    """Shared machinery for self-contained (non-Personalizer) policies.
+    """Shared machinery of the self-contained steering policies.
 
     Subclasses implement:
 
@@ -158,6 +172,15 @@ class LearnedSteeringPolicy(SteeringPolicy):
       publish/restore.
     """
 
+    #: key of the exploration stream after the seed (default
+    #: ``("policy", name)``) and prefix of event ids (default the name)
+    rng_key: tuple[str, ...] | None = None
+    event_prefix: str | None = None
+    #: publish cycles an unrewarded event survives before it is finalized
+    #: with ``_expired_reward``; 0 (the default) disables expiry
+    _activation_timeout: int = 0
+    _expired_reward: float = 0.0
+
     def __init__(self, epsilon: float, seed: int, mode: str = "uniform_logging") -> None:
         if mode not in MODES:
             raise PersonalizerError(f"unknown mode {mode!r}")
@@ -165,11 +188,15 @@ class LearnedSteeringPolicy(SteeringPolicy):
             raise PersonalizerError("epsilon must be in [0, 1]")
         self.epsilon = epsilon
         self.mode = mode
-        self._rng = keyed_rng(seed, "policy", self.name)
+        self._rng = keyed_rng(seed, *(self.rng_key or ("policy", self.name)))
         self._pending: dict[str, _Pending] = {}
         self._event_counter = 0
         self._log: list[LoggedEvent] = []
         self.versions: list[PolicyVersion] = []
+        #: publish cycles elapsed (the activation-timeout clock)
+        self._tick = 0
+        #: events expired unrewarded so far (observability)
+        self.expired_events = 0
 
     # -- the SteeringPolicy surface ----------------------------------------------
 
@@ -191,12 +218,13 @@ class LearnedSteeringPolicy(SteeringPolicy):
             index = int(self._rng.integers(0, len(actions))) if explore else greedy
             probability = self._greedy_probability(len(actions), index == greedy)
         self._event_counter += 1
-        event_id = f"{self.name}-{self._event_counter:08d}"
+        event_id = f"{self.event_prefix or self.name}-{self._event_counter:08d}"
         self._pending[event_id] = _Pending(
             context=context,
             actions=tuple(actions),
             chosen=index,
             probability=probability,
+            born_tick=self._tick,
         )
         return RankResponse(
             event_id=event_id,
@@ -210,6 +238,10 @@ class LearnedSteeringPolicy(SteeringPolicy):
         pending = self._pending.pop(event_id, None)
         if pending is None:
             raise PersonalizerError(f"unknown or already-rewarded event {event_id!r}")
+        self._finalize(pending, reward)
+
+    def _finalize(self, pending: _Pending, reward: float) -> None:
+        """Log the event and learn from it (shared by observe and expiry)."""
         self._log.append(
             LoggedEvent(
                 context=pending.context,
@@ -237,11 +269,9 @@ class LearnedSteeringPolicy(SteeringPolicy):
 
         Counterfactual evaluation asks what the policy would do if it were
         driving — the learned distribution — regardless of the mode it is
-        currently logging under, matching
-        ``PersonalizerService.counterfactual_evaluate``'s convention.
-        ``scorer`` is accepted for signature compatibility with the
-        bandit-internal policies and ignored: self-contained policies own
-        their model.
+        currently logging under.  ``scorer`` is accepted for signature
+        compatibility with the target policies of :mod:`repro.bandit.policy`
+        and ignored: a steering policy owns its model.
         """
         if not actions:
             return 0.0
@@ -253,7 +283,36 @@ class LearnedSteeringPolicy(SteeringPolicy):
         base = self.epsilon / num_actions
         return base + (1.0 - self.epsilon) * (1.0 if is_greedy else 0.0)
 
+    def _expire_pending(self) -> None:
+        """Finalize pending events older than the activation timeout.
+
+        Mirrors the Azure Personalizer reward-wait window: an event whose
+        reward never arrives is finalized with the expired-event reward
+        after the timeout's publish cycles instead of leaking forever.
+        Events expire in rank order (insertion order of the pending map),
+        so the model sees a deterministic update sequence.
+        """
+        timeout = self._activation_timeout
+        if timeout <= 0:
+            return
+        stale = [
+            event_id
+            for event_id, pending in self._pending.items()
+            if self._tick - pending.born_tick >= timeout
+        ]
+        for event_id in stale:
+            self._finalize(self._pending.pop(event_id), self._expired_reward)
+        self.expired_events += len(stale)
+
     def publish_version(self) -> int:
+        """Snapshot the model (the daily pipeline checkpoint).
+
+        Advances the activation-timeout clock and expires overdue events
+        first, so their default-reward updates are part of the snapshot
+        they age out under.
+        """
+        self._tick += 1
+        self._expire_pending()
         self.versions.append(
             PolicyVersion(version=len(self.versions) + 1, state=self._snapshot())
         )

@@ -32,10 +32,9 @@ import numpy as np
 
 from repro.bandit.features import ActionFeatures, ContextFeatures, FeatureVector, _log_bucket
 from repro.bandit.learner import ips_sgd_step, linear_score
-from repro.policies.base import LearnedSteeringPolicy
+from repro.policies.base import LearnedSteeringPolicy, RankResponse
 
 if TYPE_CHECKING:
-    from repro.personalizer.service import RankResponse
     from repro.scope.jobs import JobInstance
     from repro.scope.optimizer.engine import OptimizationResult
 
@@ -199,7 +198,7 @@ class PlanGuidedPolicy(LearnedSteeringPolicy):
         context: ContextFeatures,
         actions: list[ActionFeatures],
         job: "JobInstance | None" = None,
-    ) -> "RankResponse":
+    ) -> RankResponse:
         # memoize plan-enriched vectors even in uniform-logging mode, so
         # off-policy evaluation of the warm-up log sees the plan signal
         if self.mode == "uniform_logging" and job is not None:

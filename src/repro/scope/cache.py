@@ -225,9 +225,6 @@ class PlanCache:
     def script_hash(script: str) -> bytes:
         return hashlib.blake2b(script.encode("utf-8"), digest_size=16).digest()
 
-    def key_for(self, script: str, config: RuleConfiguration) -> tuple:
-        return (self.script_hash(script), config.bits, config.size)
-
     def get(self, key: tuple) -> _CacheEntry | None:
         entry = self._entries.get(key)
         if entry is None:
@@ -508,30 +505,27 @@ class FragmentCache:
                 )
         return exported
 
-    def adopt(self, base_key: tuple, payload: object) -> bool:
+    def adopt(self, base_key: tuple, payload: _FragmentExport) -> bool:
         """Insert a migrated entry under this store's current generation.
 
-        Accepts a winner-carrying :class:`_FragmentExport` or a bare entry
-        (journal replays of pre-winner exports).  When the key is already
-        resident the logical entry is dropped (first wins, identical by
-        construction) but the shipped winners still merge in — two source
-        shards may have materialized different cost contexts for one
-        fragment, and each winner entry is a pure value for its key.
+        ``payload`` is a slot exported by :meth:`export_keys`.  When the
+        key is already resident the logical entry is dropped (first wins,
+        identical by construction) but the shipped winners still merge in
+        — two source shards may have materialized different cost contexts
+        for one fragment, and each winner entry is a pure value for its
+        key.
         """
-        if isinstance(payload, _FragmentExport):
-            entry, winners = payload.entry, payload.winners
-            prefetched = payload.prefetched
-        else:
-            entry, winners = payload, {}
-            prefetched = False
         key = base_key + (self.generation,)
         slot = self._entries.get(key)
         if slot is not None:
-            for winner_key, winner in winners.items():
+            for winner_key, winner in payload.winners.items():
                 slot.winners.setdefault(winner_key, winner)
             return False
         self._entries[key] = _FragmentSlot(
-            entry, self.epoch, dict(winners), prefetched=prefetched
+            payload.entry,
+            self.epoch,
+            dict(payload.winners),
+            prefetched=payload.prefetched,
         )
         return True
 

@@ -5,7 +5,7 @@ worth of completed work before a maintenance window drains it — state that
 a process crash would silently drop.  The :class:`TicketJournal` is the
 recovery path: an append-only JSONL file recording every admitted ticket,
 every completion, every maintenance-window publication and every
-Personalizer mode switch, in the order the server performed them.
+steering-policy mode switch, in the order the server performed them.
 
 Recovery leans on the repository-wide determinism contract instead of
 snapshotting results: every per-job quantity (compiled plan, executed
@@ -77,7 +77,7 @@ class RecoveryReport:
     windows: int = 0
     #: window fingerprints that were present in the journal and matched
     fingerprints_verified: int = 0
-    #: Personalizer mode switches re-applied
+    #: steering-policy mode switches re-applied
     mode_switches: int = 0
 
     def render(self) -> str:

@@ -73,7 +73,7 @@ class MaintenanceScheduler:
         self.on_publish = on_publish
         self._days: dict[int, _DayAccumulator] = {}
         self._lock = threading.Lock()
-        #: windows are serialized: the Personalizer's exploration stream
+        #: windows are serialized: the steering policy's exploration stream
         #: and the hint publications are strictly ordered
         self._window_lock = threading.Lock()
         self.windows = 0

@@ -539,7 +539,7 @@ class QOAdvisorServer:
         return self.run_maintenance(day)
 
     def enable_learned_mode(self) -> None:
-        """Switch the Personalizer to the learned policy (journaled)."""
+        """Switch the steering policy to learned mode (journaled)."""
         self.advisor.enable_learned_mode()
         self._journal({"t": "mode", "mode": "learned"})
 

@@ -108,8 +108,8 @@ def test_memoized_featurization_is_thread_safe_and_bounded():
 def test_uniform_policy_probability():
     policy = UniformPolicy()
     actions = [ActionFeatures(rule_id=None), ActionFeatures(rule_id=1)]
-    ranked = policy.choose(_context(), actions, keyed_rng(1, "u"))
-    assert ranked.probability == pytest.approx(0.5)
+    for index in range(len(actions)):
+        assert policy.action_probability(_context(), actions, index) == pytest.approx(0.5)
 
 
 def test_epsilon_greedy_probabilities_sum_to_one():

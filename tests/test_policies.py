@@ -7,6 +7,7 @@ policy, off-policy estimator hardening, and the telemetry surfacing.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -20,15 +21,15 @@ from repro.bandit.offpolicy import (
     snips_estimate,
 )
 from repro.config import (
+    BanditConfig,
     ExecutionConfig,
     FlightingConfig,
     PolicyConfig,
     ShardingConfig,
     WorkloadConfig,
 )
-from repro.core.recommend import RecommendationTask, as_policy
+from repro.core.recommend import RecommendationTask
 from repro.errors import PersonalizerError, ValidationError
-from repro.personalizer.service import PersonalizerService
 from repro.policies import (
     BanditSteeringPolicy,
     PlanGuidedPolicy,
@@ -125,14 +126,14 @@ def test_competitor_policies_match_golden(name):
     assert [r.cache_stats.core() for r in reports] == cores
 
 
-def test_default_policy_is_the_bandit_and_personalizer_survives():
+def test_default_policy_is_the_bandit():
     advisor, reports = _simulate(_tiny_config())
     assert isinstance(advisor.policy, BanditSteeringPolicy)
-    # the pre-seam API surface: advisor.personalizer is the raw service
-    assert advisor.personalizer is advisor.policy.service
-    assert advisor.personalizer.mode == "learned"
+    assert advisor.pipeline.policy is advisor.policy
+    assert advisor.pipeline.recommend_task.policy is advisor.policy
+    assert advisor.policy.mode == "learned"
     assert reports[-1].policy_name == "bandit"
-    assert reports[-1].policy_version == len(advisor.personalizer.versions)
+    assert reports[-1].policy_version == len(advisor.policy.versions)
 
 
 def test_policy_telemetry_is_outside_the_fingerprint():
@@ -238,20 +239,82 @@ def _actions():
     ]
 
 
-def test_bandit_policy_delegates_byte_identically():
-    service_a = PersonalizerService(SimulationConfig().bandit, seed=9)
-    service_b = PersonalizerService(SimulationConfig().bandit, seed=9)
-    wrapped = BanditSteeringPolicy(service_b)
-    for _ in range(5):
-        raw = service_a.rank(_context(), _actions())
-        via = wrapped.rank(_context(), _actions(), job=None)
-        assert (raw.event_id, raw.index, raw.probability) == (
-            via.event_id, via.index, via.probability,
-        )
-        service_a.reward(raw.event_id, 1.0)
-        wrapped.observe(via.event_id, 1.0)
-    assert wrapped.publish_version() == service_a.publish_version()
-    assert wrapped.event_log == service_a.event_log
+# The bandit's rank/observe/publish/restore/expiry stream, captured on the
+# commit before the bandit became a LearnedSteeringPolicy subclass (when it
+# was an adapter over a standalone Personalizer-style service).  Event ids,
+# chosen indices, logged probabilities, the weights + updates digest at each
+# checkpoint and the expiry count must stay byte-identical: day-report
+# fingerprints are built from this stream.
+BANDIT_STREAM_GOLDEN = {
+    "trace": [
+        ("evt-00000001", 2, 1 / 3),
+        ("evt-00000002", 1, 1 / 3),
+        ("evt-00000003", 1, 1 / 3),
+        ("evt-00000004", 2, 1 / 3),
+        ("evt-00000005", 2, 1 / 3),
+        ("evt-00000006", 0, 1 / 3),
+        ("evt-00000007", 2, 0.9),
+        ("evt-00000008", 2, 0.9),
+        ("evt-00000009", 2, 0.9),
+        ("evt-00000010", 2, 0.9),
+        ("evt-00000011", 2, 0.9),
+        ("evt-00000012", 2, 0.9),
+        ("evt-00000013", 0, 0.049999999999999996),
+        ("evt-00000014", 2, 0.9),
+        ("evt-00000015", 2, 0.9),
+    ],
+    # published v1, published v2, restored to v1
+    "digests": [
+        "31476fa1012727aa80b539e62952938e",
+        "cd94aa2cae9746a155e5f26eafcb0f3b",
+        "31476fa1012727aa80b539e62952938e",
+    ],
+    "expired_events": 1,
+    "rewards": [1.5, 1.35, 1.6, 1.5, 1.1, 1.5, 1.6, 1.5, 1.6, 1.5, 1.6, 0.0, 0.5, 0.5, 0.5],
+}
+
+
+def test_bandit_stream_matches_golden():
+    policy = BanditSteeringPolicy(BanditConfig(activation_timeout_days=2), seed=9)
+    contexts = [_context(), _context(span=(1, 2, 7), cost=12.5)]
+    trace = []
+    digests = []
+
+    def digest():
+        h = hashlib.blake2b(digest_size=16)
+        h.update(policy.learner.weights.tobytes())
+        h.update(str(policy.learner.updates).encode())
+        return h.hexdigest()
+
+    def rank(i):
+        response = policy.rank(contexts[i % 2], _actions())
+        trace.append((response.event_id, response.index, response.probability))
+        return response
+
+    def reward(i, response):
+        return 1.0 + 0.25 * response.index + 0.1 * (i % 2)
+
+    for i in range(6):  # uniform logging; the third event is never rewarded
+        response = rank(i)
+        if i != 2:
+            policy.observe(response.event_id, reward(i, response))
+    first = policy.publish_version()
+    digests.append(digest())
+    policy.switch_mode("learned")
+    for i in range(6, 12):
+        response = rank(i)
+        policy.observe(response.event_id, reward(i, response))
+    policy.publish_version()  # tick 2: the unrewarded event expires first
+    digests.append(digest())
+    expired = policy.expired_events
+    for i in range(12, 15):
+        policy.observe(rank(i).event_id, 0.5)
+    policy.restore_version(first)
+    digests.append(digest())
+    assert trace == BANDIT_STREAM_GOLDEN["trace"]
+    assert digests == BANDIT_STREAM_GOLDEN["digests"]
+    assert expired == BANDIT_STREAM_GOLDEN["expired_events"]
+    assert [e.reward for e in policy.event_log] == BANDIT_STREAM_GOLDEN["rewards"]
 
 
 def test_value_model_learns_per_action_rewards():
@@ -336,14 +399,13 @@ def test_build_policy_factory_and_wrapping():
     assert isinstance(plan, PlanGuidedPolicy) and plan.engine == "E"
     with pytest.raises(ValidationError):
         build_policy(dataclasses.replace(config, policy=PolicyConfig("nope")))
-    # pre-seam call sites passing a raw service keep working
+    # the recommend stage holds the built policy itself, unwrapped
     from repro.scope.optimizer.rules.base import default_registry
 
-    service = PersonalizerService(config.bandit, seed=5)
-    task = RecommendationTask(service, default_registry())
-    assert isinstance(task.policy, BanditSteeringPolicy)
-    assert task.personalizer is service
-    assert as_policy(task.policy) is task.policy  # idempotent
+    bandit = build_policy(config)
+    assert bandit.config is config.bandit
+    task = RecommendationTask(bandit, default_registry())
+    assert task.policy is bandit
 
 
 # ---------------------------------------------------------------------------
